@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "src/common/fault.h"
 #include "src/common/fit_progress.h"
@@ -20,6 +19,7 @@
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
 #include "src/la/simd.h"
+#include "src/mf/masked_mu.h"
 #include "src/mf/nmf.h"
 
 namespace smfl::core {
@@ -34,41 +34,6 @@ double SmflObjective(const Matrix& x, const Mask& observed,
   return mf::MaskedReconstructionError(x, observed, u, v) +
          lambda * graph.LaplacianQuadraticForm(u);
 }
-
-namespace {
-
-// R_Ω(U V) for the iteration hot path, preferring the CSR observed index
-// (`omega`, nullable) built once per fit attempt over per-call mask scans
-// — the three forms are bitwise identical. The unfused
-// ApplyMask(MatMul(u, v)) stays reachable via
-// SMFL_BENCH_LEGACY_RECONSTRUCT=1 so tools/run_bench.sh can measure the
-// pre-optimization per-iteration cost.
-Matrix ReconstructMasked(const Matrix& u, const Matrix& v,
-                         const Mask& observed,
-                         const data::ObservedIndex* omega) {
-  if (mf::LegacyReconstructForBench()) {
-    return data::ApplyMask(la::MatMul(u, v), observed);
-  }
-  if (omega != nullptr) {
-    return data::MaskedReconstruct(u, v, *omega);
-  }
-  return data::MaskedReconstruct(u, v, observed);
-}
-
-// Objective from a reconstruction already restricted to Ω. Matches
-// SmflObjective (the lambda * LQF product is kept even at lambda == 0 so a
-// non-finite U still poisons the objective the way it always did).
-double ObjectiveGiven(const Matrix& x, const Mask& observed,
-                      const NeighborGraph& graph, double lambda,
-                      const Matrix& u, const Matrix& uv_masked,
-                      const data::ObservedIndex* omega) {
-  const double err = omega != nullptr
-                         ? data::MaskedSquaredError(x, *omega, uv_masked)
-                         : data::MaskedSquaredError(x, observed, uv_masked);
-  return err + lambda * graph.LaplacianQuadraticForm(u);
-}
-
-}  // namespace
 
 namespace {
 
@@ -112,118 +77,6 @@ Status ValidateInputs(const Matrix& x, const Mask& observed,
     }
   }
   return Status::OK();
-}
-
-// Uᵀ R_Ω(X) restricted to columns [col_begin, M): the only V columns SMFL
-// updates. Returns a K x (M - col_begin) matrix. Parallelized over output
-// row blocks; each chunk streams the rows of a and b once, so every
-// element keeps its ascending-p summation order at any thread count.
-Matrix MatMulAtBColsFrom(const Matrix& a, const Matrix& b, Index col_begin) {
-  const Index k = a.cols(), m = b.cols() - col_begin;
-  Matrix c(k, m);
-  constexpr Index kRowGrain = 16;
-  // Resolved on the calling thread so a ScopedSimd override reaches the
-  // pool workers (simd.h, dispatch resolution).
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.matmul_atb_cols");
-  }
-  parallel::ParallelFor(0, k, kRowGrain, [&](Index r0, Index r1) {
-    for (Index p = 0; p < a.rows(); ++p) {
-      auto arow = a.Row(p);
-      auto brow = b.Row(p);
-      for (Index i = r0; i < r1; ++i) {
-        const double av = arow[i];
-        // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
-        if (av == 0.0) continue;
-        ker.axpy(m, av, brow.data() + col_begin, c.Row(i).data());
-      }
-    }
-  });
-  return c;
-}
-
-// One multiplicative U update (Formula 13):
-// U ← U ⊙ (R_Ω(X)Vᵀ + λ D U) / (R_Ω(UV)Vᵀ + λ W U)
-// `uv_masked` is R_Ω(UV) for the U and V passed in — the previous
-// iteration's objective evaluation already computed it, so the caller
-// hands it down instead of paying a third reconstruction per iteration.
-// `div_eps` is the denominator floor; the TrainingGuard widens it when a
-// near-zero denominator has already caused a rollback.
-void UpdateUMultiplicative(const Matrix& x_observed,
-                           const NeighborGraph& graph, double lambda,
-                           double div_eps, Matrix& u, const Matrix& v,
-                           const Matrix& uv_masked) {
-  Matrix num = la::MatMulABt(x_observed, v);
-  Matrix den = la::MatMulABt(uv_masked, v);
-  if (lambda > 0.0) {
-    Matrix du = graph.MultiplyD(u);
-    Matrix wu = graph.MultiplyW(u);
-    du *= lambda;
-    wu *= lambda;
-    num += du;
-    den += wu;
-  }
-  u = la::Hadamard(u, la::SafeDivide(num, den, div_eps));
-}
-
-// One multiplicative V update (Formula 14) over columns [col_begin, M);
-// col_begin = L for SMFL (landmark columns frozen), 0 for SMF. U has just
-// been updated, so R_Ω(U_new V) must be recomputed here — it cannot be
-// shared with the U update, which needed R_Ω(U_old V).
-void UpdateVMultiplicative(const Matrix& x_observed, const Mask& observed,
-                           const data::ObservedIndex* omega, const Matrix& u,
-                           double div_eps, Matrix& v, Index col_begin) {
-  if (col_begin >= v.cols()) return;
-  Matrix uv_masked = ReconstructMasked(u, v, observed, omega);
-  Matrix num = MatMulAtBColsFrom(u, x_observed, col_begin);
-  Matrix den = MatMulAtBColsFrom(u, uv_masked, col_begin);
-  for (Index i = 0; i < v.rows(); ++i) {
-    auto vrow = v.Row(i);
-    auto nrow = num.Row(i);
-    auto drow = den.Row(i);
-    for (Index j = col_begin; j < v.cols(); ++j) {
-      vrow[j] *= nrow[j - col_begin] /
-                 std::max(drow[j - col_begin], div_eps);
-    }
-  }
-}
-
-// Projected gradient step for U (§III-B1):
-// U ← max(0, U + 2θ (R_Ω(X)Vᵀ − R_Ω(UV)Vᵀ − λ L U)).
-// `uv_masked` is R_Ω(UV) for the incoming U, handed down by the caller.
-void UpdateUGradient(const Matrix& x_observed,
-                     const NeighborGraph& graph, double lambda, double theta,
-                     Matrix& u, const Matrix& v, const Matrix& uv_masked) {
-  Matrix grad = la::MatMulABt(x_observed - uv_masked, v);
-  if (lambda > 0.0) {
-    // L U = W U − D U.
-    Matrix lu = graph.MultiplyW(u);
-    lu -= graph.MultiplyD(u);
-    lu *= lambda;
-    grad -= lu;
-  }
-  grad *= 2.0 * theta;
-  u += grad;
-  la::ClampMin(u, 0.0);
-}
-
-// Projected gradient step for the free columns of V.
-void UpdateVGradient(const Matrix& x_observed, const Mask& observed,
-                     const data::ObservedIndex* omega, const Matrix& u,
-                     double delta, Matrix& v, Index col_begin) {
-  if (col_begin >= v.cols()) return;
-  Matrix uv_masked = ReconstructMasked(u, v, observed, omega);
-  Matrix num = MatMulAtBColsFrom(u, x_observed, col_begin);
-  Matrix den = MatMulAtBColsFrom(u, uv_masked, col_begin);
-  for (Index i = 0; i < v.rows(); ++i) {
-    auto vrow = v.Row(i);
-    for (Index j = col_begin; j < v.cols(); ++j) {
-      const double g =
-          2.0 * delta * (num(i, j - col_begin) - den(i, j - col_begin));
-      vrow[j] = std::max(0.0, vrow[j] + g);
-    }
-  }
 }
 
 }  // namespace
@@ -518,12 +371,6 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     // Rows whose SI is not fully observed have no trustworthy location;
     // they get uniform weights instead of a kernel anchored at the
     // mean-filled (map-center) coordinates.
-    std::vector<bool> si_complete(static_cast<size_t>(n), true);
-    for (Index i = 0; i < n; ++i) {
-      for (Index j = 0; j < spatial_cols; ++j) {
-        if (!observed.Contains(i, j)) si_complete[static_cast<size_t>(i)] = false;
-      }
-    }
     double sigma2 = 0.0;
     std::vector<Index> nearest(static_cast<size_t>(n), 0);
     for (Index i = 0; i < n; ++i) {
@@ -587,28 +434,24 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   }
   }  // resume == nullptr initialization
 
-  const Matrix x_observed = data::ApplyMask(x, observed);
-  // Ω in CSR form (with the observed values packed alongside), built once
-  // per attempt: every reconstruction and objective evaluation below —
-  // including the TrainingGuard rollback rebuild — reuses it instead of
-  // rescanning the byte mask twice per row per call.
-  std::optional<data::ObservedIndex> omega_storage;
-  if (data::ObservedIndexEnabled()) {
-    omega_storage.emplace(data::ObservedIndex::FromMask(observed, x));
-  }
-  const data::ObservedIndex* omega =
-      omega_storage.has_value() ? &omega_storage.value() : nullptr;
+  // The masked update engine over Ω (src/mf/masked_mu.h), built once per
+  // attempt from the CSR index with the observed values packed alongside.
+  // It holds R_Ω(UV) for the current iterates: the objective evaluation at
+  // the end of each iteration doubles as the input to the next
+  // iteration's U update, which needs exactly R_Ω(U_old V_old).
+  mf::MaskedMuEngine engine(data::ObservedIndex::FromMask(observed, x),
+                            v_update_begin);
+  const mf::GraphTerm graph_term{&graph, options.lambda};
+  // Formula 10 from the packed reconstruction. The λ·LQF product is kept
+  // even at λ == 0 so a non-finite U still poisons the objective.
+  const auto objective_now = [&] {
+    return engine.SquaredError() +
+           options.lambda * graph.LaplacianQuadraticForm(model.u);
+  };
   FitReport& report = model.report;
-  // R_Ω(UV) for the current iterates. Computed once per accepted state:
-  // the objective evaluation at the end of each iteration doubles as the
-  // input to the next iteration's U update (which needs exactly
-  // R_Ω(U_old V_old)), replacing what used to be a third independent
-  // reconstruction per iteration.
-  Matrix uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
-  const bool legacy_reconstruct = mf::LegacyReconstructForBench();
+  engine.Reconstruct(model.u, model.v);
   if (resume == nullptr) {
-    report.objective_trace.push_back(ObjectiveGiven(
-        x, observed, graph, options.lambda, model.u, uv_masked, omega));
+    report.objective_trace.push_back(objective_now());
   } else {
     report.objective_trace = resume->objective_trace;
     report.iterations = resume->iteration + 1;
@@ -673,36 +516,28 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   for (int iter = start_iter; iter < options.max_iterations; ++iter) {
     SMFL_TRACE_SPAN("smfl.fit.iter");
     report.iterations = iter + 1;
-    // Baseline-measurement mode recomputes the U update's reconstruction
-    // from scratch, restoring the pre-optimization three-per-iteration
-    // cost profile.
-    if (legacy_reconstruct) {
-      uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
-    }
     switch (options.update) {
       case UpdateMethod::kMultiplicative: {
         {
           SMFL_TRACE_SPAN("smfl.fit.update_u");
-          UpdateUMultiplicative(x_observed, graph, options.lambda,
-                                div_eps, model.u, model.v, uv_masked);
+          engine.UpdateUMultiplicative(graph_term, div_eps, model.u,
+                                       model.v);
         }
         {
           SMFL_TRACE_SPAN("smfl.fit.update_v");
-          UpdateVMultiplicative(x_observed, observed, omega, model.u,
-                                div_eps, model.v, v_update_begin);
+          engine.UpdateVMultiplicative(model.u, div_eps, model.v);
         }
         break;
       }
       case UpdateMethod::kGradientDescent: {
         {
           SMFL_TRACE_SPAN("smfl.fit.update_u");
-          UpdateUGradient(x_observed, graph, options.lambda,
-                          options.learning_rate, model.u, model.v, uv_masked);
+          engine.UpdateUGradient(graph_term, options.learning_rate, model.u,
+                                 model.v);
         }
         {
           SMFL_TRACE_SPAN("smfl.fit.update_v");
-          UpdateVGradient(x_observed, observed, omega, model.u,
-                          options.learning_rate, model.v, v_update_begin);
+          engine.UpdateVGradient(model.u, options.learning_rate, model.v);
         }
         break;
       }
@@ -720,10 +555,9 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     // fault points so an injected corruption is visible to the guard).
     {
       SMFL_TRACE_SPAN("smfl.fit.reconstruct");
-      uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
+      engine.Reconstruct(model.u, model.v);
     }
-    const double objective = ObjectiveGiven(
-        x, observed, graph, options.lambda, model.u, uv_masked, omega);
+    const double objective = objective_now();
     // The paper's headline convergence artifact: the objective trajectory
     // over wall-clock time, as a counter track in the trace file.
     SMFL_TRACE_COUNTER("smfl.fit.objective", objective);
@@ -749,7 +583,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
         if (report.objective_trace.size() > keep) {
           report.objective_trace.resize(keep);
         }
-        uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
+        engine.Reconstruct(model.u, model.v);
         continue;
       }
     }

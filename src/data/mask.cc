@@ -1,5 +1,7 @@
 #include "src/data/mask.h"
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/common/parallel.h"
@@ -99,34 +101,25 @@ Matrix CombineByMask(const Matrix& x, const Matrix& x_star, const Mask& mask) {
 
 namespace {
 
-// One output row of R_Ω(UV) given its observed column list. Dense rows
-// (past the tier's measured crossover — simd.h) stream the rows of V in
-// ascending-k order (the per-element summation order of la::MatMul,
-// zero-skip included) and then zero the unobserved entries by walking the
-// column list; sparse rows run the per-entry dots of masked_dot_cols.
-// Both paths build every observed entry with the identical mul/add chain,
-// so the crossover choice never changes a bit of the output. Returns true
-// when the dense path ran (for the dispatch counters).
+// One row of R_Ω(UV) into `orow` (m wide), given its observed columns.
+// Dense rows (past the tier's measured crossover — simd.h) stream the rows
+// of V in ascending-k order into the zeroed row, the per-element summation
+// order of la::MatMul with its zero-skip; sparse rows run the per-entry
+// dots of masked_dot_cols. Both build every observed entry with the
+// identical mul/add chain, so the crossover never changes a bit of the
+// result; only the observed entries of `orow` are meaningful afterwards.
+// Returns true when the dense path ran (for the dispatch counters).
 inline bool ReconstructRowForCols(const la::simd::Kernels& ker, Index k,
                                   Index m, const double* urow,
                                   const double* vd, const Index* cols,
                                   Index observed, double* orow) {
   if (observed * ker.dense_crossover >= m) {
+    std::fill(orow, orow + m, 0.0);
     for (Index p = 0; p < k; ++p) {
       const double uv = urow[p];
       // smfl-lint: allow(float-eq) exact zero-skip: 0.0 adds nothing
       if (uv == 0.0) continue;
       ker.axpy(m, uv, vd + p * m, orow);
-    }
-    if (observed != m) {
-      Index c = 0;
-      for (Index j = 0; j < m; ++j) {
-        if (c < observed && cols[c] == j) {
-          ++c;
-        } else {
-          orow[j] = 0.0;
-        }
-      }
     }
     return true;
   }
@@ -136,15 +129,14 @@ inline bool ReconstructRowForCols(const la::simd::Kernels& ker, Index k,
 
 }  // namespace
 
-Matrix MaskedReconstruct(const Matrix& u, const Matrix& v, const Mask& mask) {
+void MaskedReconstructPacked(const Matrix& u, const Matrix& v,
+                             const ObservedIndex& omega,
+                             std::span<double> out) {
   SMFL_CHECK_EQ(u.cols(), v.rows());
-  SMFL_CHECK_EQ(u.rows(), mask.rows());
-  SMFL_CHECK_EQ(v.cols(), mask.cols());
-  const Index n = u.rows(), k = u.cols(), m = v.cols();
-  Matrix out(n, m);
-  const double* ud = u.data();
-  const double* vd = v.data();
-  double* od = out.data();
+  SMFL_CHECK_EQ(u.rows(), omega.rows());
+  SMFL_CHECK_EQ(v.cols(), omega.cols());
+  SMFL_CHECK_EQ(static_cast<Index>(out.size()), omega.Count());
+  const Index k = u.cols(), m = v.cols();
   constexpr Index kRowGrain = 16;
   // Kernel table resolved on the calling thread (thread-local ScopedSimd
   // overrides must reach the pool workers running the chunks — simd.h).
@@ -152,69 +144,44 @@ Matrix MaskedReconstruct(const Matrix& u, const Matrix& v, const Mask& mask) {
   if (ker.tier != la::simd::Tier::kScalar) {
     SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
   }
-  parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
-    std::vector<Index> cols;
-    cols.reserve(static_cast<size_t>(m));
+  parallel::ParallelFor(0, omega.rows(), kRowGrain, [&](Index r0, Index r1) {
+    std::vector<double> row(static_cast<size_t>(m));
     Index dense_rows = 0, gather_rows = 0;
     for (Index i = r0; i < r1; ++i) {
-      // Single pass over the mask row: the column list doubles as the
-      // row count and as the unobserved-zeroing cursor, where the old
-      // code paid a RowCount scan plus a second obs[j] sweep.
-      const uint8_t* obs = mask.RowData(i);
-      cols.clear();
-      for (Index j = 0; j < m; ++j) {
-        if (obs[j]) cols.push_back(j);
-      }
+      const std::span<const Index> cols = omega.RowCols(i);
       const Index observed = static_cast<Index>(cols.size());
       if (observed == 0) continue;
-      if (ReconstructRowForCols(ker, k, m, ud + i * k, vd, cols.data(),
-                                observed, od + i * m)) {
+      if (ReconstructRowForCols(ker, k, m, u.data() + i * k, v.data(),
+                                cols.data(), observed, row.data())) {
         ++dense_rows;
       } else {
         ++gather_rows;
       }
+      double* packed = out.data() + omega.RowBegin(i);
+      for (Index c = 0; c < observed; ++c) packed[c] = row[cols[c]];
     }
     // Crossover decisions, aggregated per chunk (counters are atomic).
     SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
     SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
   });
-  return out;
 }
 
 Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
                          const ObservedIndex& omega) {
-  SMFL_CHECK_EQ(u.cols(), v.rows());
-  SMFL_CHECK_EQ(u.rows(), omega.rows());
-  SMFL_CHECK_EQ(v.cols(), omega.cols());
-  const Index n = u.rows(), k = u.cols(), m = v.cols();
-  Matrix out(n, m);
-  const double* ud = u.data();
-  const double* vd = v.data();
-  double* od = out.data();
-  constexpr Index kRowGrain = 16;
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_reconstruct");
-  }
-  parallel::ParallelFor(0, n, kRowGrain, [&](Index r0, Index r1) {
-    Index dense_rows = 0, gather_rows = 0;
-    for (Index i = r0; i < r1; ++i) {
-      // The precomputed index hands masked_dot_cols its column list for
-      // free — no mask-row scan, no per-call rebuild.
-      const std::span<const Index> cols = omega.RowCols(i);
-      const Index observed = static_cast<Index>(cols.size());
-      if (observed == 0) continue;
-      if (ReconstructRowForCols(ker, k, m, ud + i * k, vd, cols.data(),
-                                observed, od + i * m)) {
-        ++dense_rows;
-      } else {
-        ++gather_rows;
-      }
+  std::vector<double> packed(static_cast<size_t>(omega.Count()));
+  MaskedReconstructPacked(u, v, omega, packed);
+  Matrix out(u.rows(), v.cols());
+  for (Index i = 0; i < omega.rows(); ++i) {
+    const std::span<const Index> cols = omega.RowCols(i);
+    for (size_t c = 0; c < cols.size(); ++c) {
+      out(i, cols[c]) = packed[static_cast<size_t>(omega.RowBegin(i)) + c];
     }
-    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_dense", dense_rows);
-    SMFL_COUNTER_ADD("la.simd.dispatch.masked_rows_gather", gather_rows);
-  });
+  }
   return out;
+}
+
+Matrix MaskedReconstruct(const Matrix& u, const Matrix& v, const Mask& mask) {
+  return MaskedReconstruct(u, v, ObservedIndex::FromMask(mask));
 }
 
 namespace {
@@ -257,36 +224,7 @@ inline double RowSquaredError(const la::simd::Kernels& ker, Index m,
 
 double MaskedSquaredError(const Matrix& x, const Mask& mask,
                           const Matrix& uv_masked) {
-  SMFL_CHECK(x.SameShape(uv_masked));
-  SMFL_CHECK_EQ(x.rows(), mask.rows());
-  SMFL_CHECK_EQ(x.cols(), mask.cols());
-  const Index m = x.cols();
-  constexpr Index kRowGrain = 64;
-  const la::simd::Kernels& ker = la::simd::Active();
-  if (ker.tier != la::simd::Tier::kScalar) {
-    SMFL_COUNTER_INC("la.simd.dispatch.masked_sq_err");
-  }
-  return parallel::ParallelReduce(
-      0, x.rows(), kRowGrain, [&](Index r0, Index r1) {
-        std::vector<double> sq(static_cast<size_t>(m));
-        std::vector<Index> cols;
-        cols.reserve(static_cast<size_t>(m));
-        double acc = 0.0;
-        for (Index i = r0; i < r1; ++i) {
-          // Single mask-row pass (was RowCount + a second obs[j] sweep).
-          const uint8_t* obs = mask.RowData(i);
-          cols.clear();
-          for (Index j = 0; j < m; ++j) {
-            if (obs[j]) cols.push_back(j);
-          }
-          const Index observed = static_cast<Index>(cols.size());
-          if (observed == 0) continue;
-          acc += RowSquaredError(ker, m, x.data() + i * m, nullptr,
-                                 uv_masked.data() + i * m, cols.data(),
-                                 observed, sq.data());
-        }
-        return acc;
-      });
+  return MaskedSquaredError(x, ObservedIndex::FromMask(mask), uv_masked);
 }
 
 double MaskedSquaredError(const Matrix& x, const ObservedIndex& omega,
@@ -295,6 +233,8 @@ double MaskedSquaredError(const Matrix& x, const ObservedIndex& omega,
   SMFL_CHECK_EQ(x.rows(), omega.rows());
   SMFL_CHECK_EQ(x.cols(), omega.cols());
   const Index m = x.cols();
+  // The chunking fixes the summation order of the per-row partials; the
+  // packed-reconstruction objective (mf::MaskedMuEngine) uses this grain.
   constexpr Index kRowGrain = 64;
   const la::simd::Kernels& ker = la::simd::Active();
   if (ker.tier != la::simd::Tier::kScalar) {

@@ -1,8 +1,5 @@
 #include "src/data/observed_index.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace smfl::data {
 
 ObservedIndex ObservedIndex::FromRowMajorBytes(Index rows, Index cols,
@@ -56,14 +53,6 @@ ObservedIndex ObservedIndex::FromMask(const Mask& mask, const Matrix& values) {
     }
   }
   return out;
-}
-
-bool ObservedIndexEnabled() {
-  const char* env = std::getenv("SMFL_OBSERVED_INDEX");
-  if (env == nullptr || env[0] == '\0') return true;
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "OFF") != 0 && std::strcmp(env, "false") != 0 &&
-         std::strcmp(env, "FALSE") != 0;
 }
 
 }  // namespace smfl::data

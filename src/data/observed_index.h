@@ -4,17 +4,17 @@
 // "which columns of row i are observed?" by rescanning its byte row. An
 // ObservedIndex answers it with a precomputed span: row_ptr + col_idx in
 // the same compressed-sparse-row shape as la::SparseMatrix (sparse.h),
-// built once per fit in O(n·m) and reused by every reconstruction,
-// objective evaluation, and fold-in grouping afterwards. The index itself
-// costs O(|Ω|) memory ((rows+1 + |Ω|) Index slots, plus |Ω| doubles when
-// the observed values are packed alongside), independent of how sparse the
-// byte grid it came from was.
+// built once per fit in O(n·m) and reused by every update step,
+// reconstruction, objective evaluation, and fold-in grouping afterwards.
+// The index itself costs O(|Ω|) memory ((rows+1 + |Ω|) Index slots, plus
+// |Ω| doubles when the observed values are packed alongside), independent
+// of how sparse the byte grid it came from was.
 //
-// The index is a pure re-layout: the masked kernels consuming it
-// (MaskedReconstruct / MaskedSquaredError overloads below) visit the same
-// columns in the same ascending order as their Mask-scanning twins, so the
-// two paths are bitwise identical — tests/observed_index_test.cc proves it
-// across observed rates, thread counts, and SIMD tiers.
+// The index is a pure re-layout: the masked kernels consuming it visit the
+// observed columns in the same ascending order as a scan of the mask
+// would, so they equal the unfused ApplyMask(MatMul(u, v)) bit for bit —
+// tests/observed_index_test.cc proves it across observed rates, thread
+// counts, and SIMD tiers.
 
 #ifndef SMFL_DATA_OBSERVED_INDEX_H_
 #define SMFL_DATA_OBSERVED_INDEX_H_
@@ -58,6 +58,14 @@ class ObservedIndex {
            row_ptr_[static_cast<size_t>(i)];
   }
 
+  // Offset of row i's first entry in the CSR order: packed per-entry
+  // arrays parallel to the index (RowValues, a packed R_Ω(UV)) start row i
+  // here.
+  Index RowBegin(Index i) const {
+    SMFL_DCHECK(i >= 0 && i < rows_);
+    return row_ptr_[static_cast<size_t>(i)];
+  }
+
   // Row i's observed column indices, ascending.
   std::span<const Index> RowCols(Index i) const {
     SMFL_DCHECK(i >= 0 && i < rows_);
@@ -88,21 +96,20 @@ class ObservedIndex {
   std::vector<double> values_;  // optional; parallel to col_idx_
 };
 
-// R_Ω(U V) / ||R_Ω(X) − UV_Ω||_F² consuming the precomputed index instead
-// of rescanning mask rows — bitwise identical to the Mask overloads in
-// mask.h (same per-row dense/gather crossover, same ascending-j /
-// ascending-k orders). Implemented alongside them in mask.cc.
+// R_Ω(U V) / ||R_Ω(X) − UV_Ω||_F² consuming the precomputed index. The
+// Mask overloads in mask.h build an index and call these. Implemented in
+// mask.cc.
 [[nodiscard]] Matrix MaskedReconstruct(const Matrix& u, const Matrix& v,
                                        const ObservedIndex& omega);
+// The same entries of R_Ω(U V) packed in the index's CSR order
+// (out.size() == omega.Count()), bit for bit: the |Ω|-sized form the
+// masked update engine (mf/masked_mu.h) keeps instead of an N×M matrix.
+void MaskedReconstructPacked(const Matrix& u, const Matrix& v,
+                             const ObservedIndex& omega,
+                             std::span<double> out);
 [[nodiscard]] double MaskedSquaredError(const Matrix& x,
                                         const ObservedIndex& omega,
                                         const Matrix& uv_masked);
-
-// Escape hatch mirroring SMFL_BENCH_LEGACY_RECONSTRUCT: SMFL_OBSERVED_INDEX
-// set to "0"/"off"/"false" makes the fit loops fall back to per-call mask
-// scans. Deliberately re-read per call (it is consulted once per fit
-// attempt, not per row) so the equivalence tests can toggle it in-process.
-[[nodiscard]] bool ObservedIndexEnabled();
 
 }  // namespace smfl::data
 

@@ -1,11 +1,10 @@
 #include "src/mf/nmf.h"
 
-#include <optional>
-
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
+#include "src/mf/masked_mu.h"
 
 namespace smfl::mf {
 
@@ -16,25 +15,6 @@ double MaskedReconstructionError(const Matrix& x, const Mask& observed,
   return data::MaskedSquaredError(x, observed,
                                   data::MaskedReconstruct(u, v, observed));
 }
-
-namespace {
-
-// R_Ω(U V) with the fused kernel, preferring the once-per-fit CSR index
-// (`omega`, nullable); the unfused pre-optimization form stays reachable
-// for tools/run_bench.sh baselines. All three forms are bitwise identical.
-Matrix ReconstructMasked(const Matrix& u, const Matrix& v,
-                         const Mask& observed,
-                         const data::ObservedIndex* omega) {
-  if (LegacyReconstructForBench()) {
-    return data::ApplyMask(la::MatMul(u, v), observed);
-  }
-  if (omega != nullptr) {
-    return data::MaskedReconstruct(u, v, *omega);
-  }
-  return data::MaskedReconstruct(u, v, observed);
-}
-
-}  // namespace
 
 Result<NmfModel> FitNmf(const Matrix& x, const Mask& observed,
                         const NmfOptions& options) {
@@ -70,44 +50,21 @@ Result<NmfModel> FitNmf(const Matrix& x, const Mask& observed,
     model.v.data()[i] = rng.Uniform(0.01, 1.0);
   }
 
-  const Matrix x_observed = data::ApplyMask(x, observed);
-  // Ω in CSR form, built once per fit and reused by every reconstruction
-  // and objective evaluation (observed_index.h).
-  std::optional<data::ObservedIndex> omega_storage;
-  if (data::ObservedIndexEnabled()) {
-    omega_storage.emplace(data::ObservedIndex::FromMask(observed, x));
-  }
-  const data::ObservedIndex* omega =
-      omega_storage.has_value() ? &omega_storage.value() : nullptr;
+  // NMF is the engine with no graph term and every V column free; unlike
+  // SMFL it runs without a TrainingGuard.
+  MaskedMuEngine engine(data::ObservedIndex::FromMask(observed, x),
+                        /*col_begin=*/0);
   FitReport& report = model.report;
-  // R_Ω(UV) for the current iterates; the end-of-iteration objective
-  // evaluation refreshes it and the next U update consumes it, so each
-  // iteration pays two reconstructions instead of three.
-  Matrix uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
-  const bool legacy_reconstruct = LegacyReconstructForBench();
-  report.objective_trace.push_back(
-      omega != nullptr ? data::MaskedSquaredError(x, *omega, uv_masked)
-                       : data::MaskedSquaredError(x, observed, uv_masked));
+  // R_Ω(UV) for the current iterates: the end-of-iteration objective
+  // evaluation refreshes it and the next U update consumes it.
+  engine.Reconstruct(model.u, model.v);
+  report.objective_trace.push_back(engine.SquaredError());
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     report.iterations = iter + 1;
-    // U <- U ⊙ (R_Ω(X) Vᵀ) / (R_Ω(U V) Vᵀ)
-    if (legacy_reconstruct) {
-      uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
-    }
-    Matrix num_u = la::MatMulABt(x_observed, model.v);
-    Matrix den_u = la::MatMulABt(uv_masked, model.v);
-    model.u = la::Hadamard(model.u, la::SafeDivide(num_u, den_u, kDivEps));
-
-    // V <- V ⊙ (Uᵀ R_Ω(X)) / (Uᵀ R_Ω(U V))
-    uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
-    Matrix num_v = la::MatMulAtB(model.u, x_observed);
-    Matrix den_v = la::MatMulAtB(model.u, uv_masked);
-    model.v = la::Hadamard(model.v, la::SafeDivide(num_v, den_v, kDivEps));
-
-    uv_masked = ReconstructMasked(model.u, model.v, observed, omega);
-    report.objective_trace.push_back(
-        omega != nullptr ? data::MaskedSquaredError(x, *omega, uv_masked)
-                         : data::MaskedSquaredError(x, observed, uv_masked));
+    engine.UpdateUMultiplicative(GraphTerm{}, kDivEps, model.u, model.v);
+    engine.UpdateVMultiplicative(model.u, kDivEps, model.v);
+    engine.Reconstruct(model.u, model.v);
+    report.objective_trace.push_back(engine.SquaredError());
     if (RelativeImprovementBelow(report.objective_trace, options.tolerance)) {
       report.converged = true;
       break;

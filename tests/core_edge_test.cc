@@ -180,7 +180,8 @@ TEST(SmflEdgeTest, LandmarkFreezingDoesNotSlowDown) {
     SmflOptions o = options;
     o.use_landmarks = landmarks;
     // Warm-up + timed run; coarse but stable enough for a 1.5x bound.
-    (void)FitSmfl(s.input, s.observed, 2, o);
+    auto warm_up = FitSmfl(s.input, s.observed, 2, o);
+    EXPECT_TRUE(warm_up.ok()) << warm_up.status().ToString();
     smfl::Stopwatch watch;
     auto model = FitSmfl(s.input, s.observed, 2, o);
     SMFL_CHECK(model.ok());

@@ -1,25 +1,18 @@
 // ObservedIndex contract tests: the CSR layout must reproduce the Mask's
-// set exactly, and the masked kernels consuming it must be bitwise
-// identical to their Mask-scanning twins (and to the unfused
-// ApplyMask(MatMul) form) across observed rates, thread counts, and SIMD
-// tiers. Full fits must walk byte-identical trajectories with the index
-// enabled vs disabled (SMFL_OBSERVED_INDEX=0) — the index is a pure
-// re-layout, never a numeric change.
+// set exactly, and the masked kernels consuming it (including the packed
+// reconstruction the fit engine keeps) must be bitwise identical to the
+// Mask overloads and to the unfused ApplyMask(MatMul) form across observed
+// rates, thread counts, and SIMD tiers. Full fits are proven against a
+// dense reference solver in masked_mu_oracle_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/common/parallel.h"
 #include "src/common/rng.h"
-#include "src/core/model_io.h"
-#include "src/core/smfl.h"
-#include "src/data/generators.h"
-#include "src/data/inject.h"
 #include "src/data/mask.h"
-#include "src/data/normalize.h"
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
 #include "src/la/simd.h"
@@ -61,16 +54,6 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b,
         << label << " differs at flat index " << i;
   }
 }
-
-// RAII toggle for the SMFL_OBSERVED_INDEX escape hatch (the env is
-// re-read per fit attempt precisely so this works in-process).
-class ScopedObservedIndexEnv {
- public:
-  explicit ScopedObservedIndexEnv(const char* value) {
-    setenv("SMFL_OBSERVED_INDEX", value, /*overwrite=*/1);
-  }
-  ~ScopedObservedIndexEnv() { unsetenv("SMFL_OBSERVED_INDEX"); }
-};
 
 TEST(ObservedIndexTest, LayoutMatchesMask) {
   for (double rate : {0.0, 0.05, 0.5, 1.0}) {
@@ -185,6 +168,16 @@ TEST(ObservedIndexTest, MaskedKernelsBitwiseEqualMaskPath) {
         const Matrix via_index = data::MaskedReconstruct(u, v, index);
         ExpectBitwiseEqual(via_mask, unfused, label + " mask-vs-unfused");
         ExpectBitwiseEqual(via_index, via_mask, label + " index-vs-mask");
+        std::vector<double> packed(static_cast<size_t>(index.Count()));
+        data::MaskedReconstructPacked(u, v, index, packed);
+        for (Index i = 0; i < n; ++i) {
+          const auto cols = index.RowCols(i);
+          for (size_t c = 0; c < cols.size(); ++c) {
+            ASSERT_EQ(packed[static_cast<size_t>(index.RowBegin(i)) + c],
+                      unfused(i, cols[c]))
+                << label << " packed entry (" << i << ", " << cols[c] << ")";
+          }
+        }
 
         const double err_mask = data::MaskedSquaredError(x, mask, via_mask);
         const double err_index =
@@ -193,54 +186,6 @@ TEST(ObservedIndexTest, MaskedKernelsBitwiseEqualMaskPath) {
             data::MaskedSquaredError(x, index_packed, via_index);
         ASSERT_EQ(err_mask, err_index) << label;
         ASSERT_EQ(err_mask, err_packed) << label << " (packed values)";
-      }
-    }
-  }
-}
-
-// Full-fit equivalence: SerializeModel output (factor bytes and report)
-// must be identical with the ObservedIndex path enabled vs disabled, across
-// seeds x thread counts x SIMD tiers.
-TEST(ObservedIndexTest, FitTrajectoriesIdenticalWithIndexOnVsOff) {
-  for (uint64_t seed = 0; seed < 3; ++seed) {
-    auto dataset = data::MakeVehicleLike(50, 900 + seed);
-    ASSERT_TRUE(dataset.ok());
-    auto normalizer = data::MinMaxNormalizer::Fit(dataset->table.values());
-    ASSERT_TRUE(normalizer.ok());
-    const Matrix truth = normalizer->Transform(dataset->table.values());
-    data::MissingInjectionOptions inject;
-    inject.missing_rate = 0.5;
-    inject.seed = seed * 13 + 2;
-    auto injection = data::InjectMissing(dataset->table, inject);
-    ASSERT_TRUE(injection.ok());
-    const Matrix x_in = data::ApplyMask(truth, injection->observed);
-
-    core::SmflOptions options;
-    options.rank = 4;
-    options.max_iterations = 25;
-    options.tolerance = 0.0;
-    options.seed = seed * 101 + 7;
-
-    for (int threads : {1, 4}) {
-      options.threads = threads;
-      for (int simd_mode : {0, 1}) {
-        la::simd::ScopedSimd scoped_simd(simd_mode);
-        std::string with_index, without_index;
-        {
-          ScopedObservedIndexEnv env("1");
-          auto fit = core::FitSmfl(x_in, injection->observed, 2, options);
-          ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-          with_index = core::SerializeModel(*fit);
-        }
-        {
-          ScopedObservedIndexEnv env("0");
-          auto fit = core::FitSmfl(x_in, injection->observed, 2, options);
-          ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-          without_index = core::SerializeModel(*fit);
-        }
-        ASSERT_EQ(with_index, without_index)
-            << "seed " << seed << " threads " << threads << " simd "
-            << simd_mode;
       }
     }
   }

@@ -11,23 +11,22 @@
 #   1. bench_fig9_scalability (MF family: NMF / SMF / SMFL, lake dataset,
 #      250/500/1000 rows) at SMFL_THREADS = 1, 2, 4 and the machine's
 #      hardware concurrency — thread-scaling of the fit loop.
-#   2. The same slice at 1 thread with SMFL_BENCH_LEGACY_RECONSTRUCT=1 —
-#      the pre-fusion 3-reconstructions-per-iteration cost — to isolate
-#      the single-threaded win of MaskedReconstruct + hoisting.
-#   3. bench_kernels TWICE at 1 thread: once with the runtime-dispatched
+#   2. bench_kernels TWICE at 1 thread: once with the runtime-dispatched
 #      SIMD tier (whatever the CPU probe resolves — recorded as
 #      host.simd_tier from the benchmark's JSON context) and once with
 #      SMFL_SIMD=0 pinning the scalar tier. The per-kernel ratio is the
 #      SIMD speedup, valid on ANY host because both runs share one core
 #      count. Then once per thread count for the thread-scaling curves.
-#   4. bench_table4_imputation (all methods, all datasets, 1 trial) at the
+#   3. bench_table4_imputation (all methods, all datasets, 1 trial) at the
 #      same thread counts, timed end to end.
-#   5. BM_TelemetryOverhead (inside bench_kernels): the per-instrument cost
+#   4. BM_TelemetryOverhead (inside bench_kernels): the per-instrument cost
 #      with collection off and on.
 #
 # Results are bitwise identical across thread counts AND SIMD tiers by
 # construction (see docs/performance.md); this script only measures wall
-# clock. When the host has a single core, every thread-scaling curve is
+# clock. Every Google Benchmark row is normalized to milliseconds from its
+# declared time_unit; a unit this script does not know fails the run.
+# When the host has a single core, every thread-scaling curve is
 # noise around 1.0 by construction and is tagged "noise": true in the
 # JSON — the SIMD ratios and the fusion ratios remain valid.
 #
@@ -117,12 +116,24 @@ SPARSE_MIN_10PCT = 0.9
 
 scratch = os.environ["SCRATCH"]
 
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+def median_ms(doc):
+    """run_name -> median real_time in ms, from each row's time_unit."""
+    out = {}
+    for b in doc["benchmarks"]:
+        if b.get("aggregate_name") != "median":
+            continue
+        unit = b.get("time_unit")
+        if unit not in MS_PER_UNIT:
+            sys.exit(f"{b['run_name']}: unknown time_unit {unit!r}")
+        out[b["run_name"]] = b["real_time"] * MS_PER_UNIT[unit]
+    return out
+
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    medians = {b["run_name"]: b["real_time"] for b in doc["benchmarks"]
-               if b.get("aggregate_name") == "median"}
-    return doc.get("context", {}), medians
+    return doc.get("context", {}), median_ms(doc)
 
 ctx, simd = load(f"{scratch}/gate_simd.json")
 _, scalar = load(f"{scratch}/gate_scalar.json")
@@ -198,11 +209,6 @@ for t in $thread_counts; do
       "${fig9_flags[@]}" --benchmark_out="$scratch/fig9_t$t.json" >/dev/null
 done
 
-echo "==> fig9 slice @ 1 thread, legacy (unfused) reconstruction"
-SMFL_THREADS=1 SMFL_BENCH_LEGACY_RECONSTRUCT=1 \
-    "$build_dir/bench/bench_fig9_scalability" \
-    "${fig9_flags[@]}" --benchmark_out="$scratch/fig9_legacy.json" >/dev/null
-
 echo "==> fig9 slice @ 1 thread, scalar tier (SMFL_SIMD=0)"
 SMFL_THREADS=1 SMFL_SIMD=0 "$build_dir/bench/bench_fig9_scalability" \
     "${fig9_flags[@]}" --benchmark_out="$scratch/fig9_scalar.json" >/dev/null
@@ -235,7 +241,7 @@ echo "==> merging results into $out_json"
 SCRATCH="$scratch" NCORES="$ncores" CPU_MODEL="$cpu_model" \
 THREAD_COUNTS="$thread_counts" \
 TABLE4_ROWS="$table4_rows" OUT_JSON="$out_json" python3 - <<'PY'
-import json, os, re
+import json, os, re, sys
 
 scratch = os.environ["SCRATCH"]
 threads = [int(t) for t in os.environ["THREAD_COUNTS"].split()]
@@ -250,11 +256,20 @@ def bench_doc(path):
     with open(path) as f:
         return json.load(f)
 
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
 def fig9_times(path):
-    """base benchmark name -> median real_time in ms across repetitions."""
-    return {b["run_name"]: b["real_time"]
-            for b in bench_doc(path)["benchmarks"]
-            if b.get("aggregate_name") == "median"}
+    """base benchmark name -> median real_time in ms across repetitions,
+    normalized from each row's declared time_unit."""
+    out = {}
+    for b in bench_doc(path)["benchmarks"]:
+        if b.get("aggregate_name") != "median":
+            continue
+        unit = b.get("time_unit")
+        if unit not in MS_PER_UNIT:
+            sys.exit(f"{path}: {b['run_name']}: unknown time_unit {unit!r}")
+        out[b["run_name"]] = b["real_time"] * MS_PER_UNIT[unit]
+    return out
 
 def tag_scaling(entry):
     """Marks a thread-scaling curve as noise on 1-core hosts."""
@@ -263,7 +278,6 @@ def tag_scaling(entry):
     return entry
 
 per_thread = {t: fig9_times(f"{scratch}/fig9_t{t}.json") for t in threads}
-legacy = fig9_times(f"{scratch}/fig9_legacy.json")
 fig9_scalar = fig9_times(f"{scratch}/fig9_scalar.json")
 base = per_thread[1]
 
@@ -278,9 +292,6 @@ for name in sorted(base):
             {str(t): round(base[name] / per_thread[t][name], 3)
              for t in threads}),
     }
-    if name in legacy:
-        entry["legacy_unfused_ms_1_thread"] = round(legacy[name], 3)
-        entry["fusion_speedup_1_thread"] = round(legacy[name] / base[name], 3)
     if name in fig9_scalar:
         entry["scalar_tier_ms_1_thread"] = round(fig9_scalar[name], 3)
         entry["simd_speedup_1_thread"] = round(
@@ -371,21 +382,19 @@ for arg in (64, 512, 2048):
              for t in threads}),
     }
 
-# Telemetry overhead: median real_time is ns per loop iteration, and each
-# iteration runs 3 instruments (counter + histogram + span), so ns/3 is
-# the per-instrument cost. Arg 0 = collection off (the disabled-path
-# guard), Arg 1 = on.
-telemetry_units = {b["run_name"]: b.get("time_unit", "ns")
-                   for b in bench_doc(f"{scratch}/kernels_t1.json")["benchmarks"]
-                   if b.get("aggregate_name") == "median"}
+# Telemetry overhead: the median time per loop iteration, reported in ns
+# (nanosecond-scale, so ms would round to zero). Each iteration runs 3
+# instruments (counter + histogram + span), so ns/3 is the per-instrument
+# cost. Arg 0 = collection off (the disabled-path guard), Arg 1 = on.
 telemetry = {}
 for arg, label in ((0, "disabled"), (1, "enabled")):
     name = f"BM_TelemetryOverhead/{arg}"
     if name in kbase:
+        ns = kbase[name] * 1e6
         telemetry[label] = {
-            "per_iteration": round(kbase[name], 3),
-            "per_instrument": round(kbase[name] / 3.0, 3),
-            "time_unit": telemetry_units.get(name, "ns"),
+            "per_iteration": round(ns, 3),
+            "per_instrument": round(ns / 3.0, 3),
+            "time_unit": "ns",
         }
 if "disabled" in telemetry and "enabled" in telemetry:
     telemetry["enabled_vs_disabled_ratio"] = round(
@@ -443,8 +452,6 @@ out = {
         "end_to_end_simd_speedup_1_thread":
             largest.get("simd_speedup_1_thread"),
         "largest_config": f"Fig9/lake/SMFL/{largest['rows']}",
-        "end_to_end_fusion_speedup_1_thread":
-            largest.get("fusion_speedup_1_thread"),
         "kernel_fusion_speedup_10pct_observed":
             fusion["observed_10pct"]["speedup"],
         "masked_path_10pct_dispatched_vs_scalar": observed_index[

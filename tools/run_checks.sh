@@ -3,34 +3,38 @@
 #
 #   1. werror-build   configure + build with -DSMFL_WERROR=ON
 #                     (-Wall -Wextra -Wconversion -Wshadow promoted to errors)
-#   2. tier1-tests    the full ctest suite in that build tree
-#   3. smfl-lint      repo-contract static analysis (docs/static-analysis.md)
-#   4. lint-graph     the semantic passes: module-layering / include-graph
+#   2. perfbench-build compile-only build of the benchmark program
+#                     (perfbench/, its own CMake package over src/), so a
+#                     src/ signature change perfbench/main.cc consumes
+#                     fails here rather than in the benchmark run
+#   3. tier1-tests    the full ctest suite in that build tree
+#   4. smfl-lint      repo-contract static analysis (docs/static-analysis.md)
+#   5. lint-graph     the semantic passes: module-layering / include-graph
 #                     enforcement (--graph) and the R13 ParallelFor race
 #                     detector (--race), with SARIF written to the check
 #                     logs for CI upload (docs/static-analysis.md)
-#   5. crash-recovery the kill-mid-fit durability harness on its own line:
+#   6. crash-recovery the kill-mid-fit durability harness on its own line:
 #                     SIGKILLs real fits between checkpoint writes and
 #                     requires --resume to reach the bitwise-identical
 #                     model (docs/robustness.md)
-#   6. obs-scrape     end-to-end observability: runs a real `smfl fit
+#   7. obs-scrape     end-to-end observability: runs a real `smfl fit
 #                     --metrics-port=0`, scrapes /metrics, /healthz, and
 #                     /statusz over loopback with bash's /dev/tcp (no curl
 #                     dependency), and validates the Prometheus exposition
 #                     line grammar (docs/observability.md)
-#   7. bench          perf-regression gate (tools/run_bench.sh --gate):
+#   8. bench          perf-regression gate (tools/run_bench.sh --gate):
 #                     masked-reconstruct fusion and SIMD gemm speedups must
 #                     stay above the committed thresholds; a regression
 #                     fails the gate exactly like a lint finding would
-#   8. asan           tier-1 suite under AddressSanitizer (+ leak check)
-#   9. ubsan          tier-1 suite under UndefinedBehaviorSanitizer
-#  10. tsan           threading-sensitive subset under ThreadSanitizer;
+#   9. asan           tier-1 suite under AddressSanitizer (+ leak check)
+#  10. ubsan          tier-1 suite under UndefinedBehaviorSanitizer
+#  11. tsan           threading-sensitive subset under ThreadSanitizer;
 #                     auto-skipped (and recorded as such) when the toolchain
 #                     lacks TSan support
 #
 # Every step's outcome lands in CHECKS.json ({"steps": [{name, status,
 # seconds, detail}...], "ok": bool}); the script exits nonzero if any step
-# fails. Skips are not failures. `--fast` runs only steps 1-6 (the bench
+# fails. Skips are not failures. `--fast` runs only steps 1-7 (the bench
 # gate wants an unloaded machine and the sanitizer suites are three extra
 # full builds).
 #
@@ -98,6 +102,13 @@ configure_and_build() {
   cmake -B "$build_dir" -S "$repo_root" -DSMFL_WERROR=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
     cmake --build "$build_dir" -j
+}
+
+# Compile-only build of the benchmark program against this tree's src/.
+perfbench_build() {
+  cmake -S "$repo_root/perfbench" -B "$build_dir/perfbench" \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
+    cmake --build "$build_dir/perfbench" --target smfl_perfbench -j "$(nproc)"
 }
 
 # One raw HTTP GET over loopback with bash's /dev/tcp: no curl/netcat in
@@ -193,6 +204,9 @@ obs_scrape() {
 
 run_step werror-build "warning-clean under -Wconversion -Wshadow -Werror" \
   configure_and_build
+
+run_step perfbench-build "benchmark program compiles against src/" \
+  perfbench_build
 
 if [[ "${step_statuses[0]}" == pass ]]; then
   run_step tier1-tests "full ctest suite" \
