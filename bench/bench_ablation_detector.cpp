@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "src/data/inject.h"
 #include "src/exp/metrics.h"
+#include "src/exp/report.h"
 #include "src/repair/detector.h"
 #include "src/repair/mf_repairers.h"
 

@@ -12,6 +12,7 @@
 //   SMFL           : + both (the shipped method)
 
 #include "bench/bench_util.h"
+#include "src/exp/report.h"
 #include "src/impute/mf_imputers.h"
 
 using namespace smfl;

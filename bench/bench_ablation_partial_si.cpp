@@ -13,6 +13,7 @@
 #include "src/data/normalize.h"
 #include "src/exp/metrics.h"
 #include "src/core/smfl.h"
+#include "src/exp/report.h"
 
 using namespace smfl;
 using la::Index;

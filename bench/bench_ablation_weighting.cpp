@@ -3,6 +3,7 @@
 // related work [9]).
 
 #include "bench/bench_util.h"
+#include "src/exp/report.h"
 #include "src/impute/mf_imputers.h"
 
 using namespace smfl;

@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "src/apps/route.h"
 #include "src/data/inject.h"
+#include "src/exp/report.h"
 #include "src/impute/registry.h"
 
 using namespace smfl;

@@ -7,6 +7,7 @@
 #include "bench/bench_util.h"
 #include "src/apps/clustering_app.h"
 #include "src/data/inject.h"
+#include "src/exp/report.h"
 
 using namespace smfl;
 using la::Index;

@@ -15,6 +15,7 @@
 #include "src/core/feature_geometry.h"
 #include "src/core/smfl.h"
 #include "src/data/inject.h"
+#include "src/exp/report.h"
 #include "src/mf/nmf.h"
 
 using namespace smfl;

@@ -9,8 +9,8 @@
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
 #include "src/core/fold_in.h"
-#include "src/data/inject.h"
 #include "src/exp/metrics.h"
+#include "src/exp/report.h"
 
 using namespace smfl;
 using data::Mask;

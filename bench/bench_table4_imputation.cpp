@@ -5,6 +5,7 @@
 // Iterative the strongest baselines; GAIN/CAMF/NMF weak.
 
 #include "bench/bench_util.h"
+#include "src/exp/report.h"
 #include "src/impute/registry.h"
 
 using namespace smfl;

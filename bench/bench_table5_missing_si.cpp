@@ -4,6 +4,7 @@
 // Expected shape (paper): everyone degrades vs Table IV; SMFL still lowest.
 
 #include "bench/bench_util.h"
+#include "src/exp/report.h"
 #include "src/impute/registry.h"
 
 using namespace smfl;

@@ -4,6 +4,7 @@
 // Expected shape (paper): SMFL < SMF < {HoloClean, Baran, NMF}; Baran worst.
 
 #include "bench/bench_util.h"
+#include "src/exp/report.h"
 #include "src/repair/repairer.h"
 
 using namespace smfl;

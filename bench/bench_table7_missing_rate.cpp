@@ -5,6 +5,7 @@
 // (NMF is flat-bad); SMFL <= SMF <= NMF at every rate.
 
 #include "bench/bench_util.h"
+#include "src/exp/report.h"
 #include "src/impute/mf_imputers.h"
 
 using namespace smfl;

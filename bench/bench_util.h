@@ -9,7 +9,6 @@
 
 #include "src/common/flags.h"
 #include "src/exp/experiment.h"
-#include "src/exp/report.h"
 
 namespace smfl::bench {
 

@@ -10,6 +10,7 @@
 #include "src/common/fit_progress.h"
 #include "src/common/parallel.h"
 #include "src/common/telemetry.h"
+#include "src/core/landmarks.h"
 #include "src/data/observed_index.h"
 #include "src/la/ops.h"
 #include "src/mf/factorization.h"
@@ -24,34 +25,11 @@ namespace {
 // of the thread count (see common/parallel.h).
 constexpr Index kRowGrain = 4;
 
-// Landmark-kernel initialization of u over the row's observed spatial
-// coordinates. Returns false when the kernel does not apply (no landmark
-// columns, or every coordinate is missing), leaving u untouched.
-bool InitFromLandmarks(const SmflModel& model, const double* row,
-                       const uint8_t* usable, double sigma2, la::Vector& u) {
-  const Index k = model.v.rows();
-  const Index l = std::min(model.spatial_cols, model.landmarks.cols());
-  if (model.landmarks.size() == 0 || l <= 0) return false;
-  std::vector<Index> obs_si;
-  for (Index j = 0; j < l; ++j) {
-    if (usable[j]) obs_si.push_back(j);
-  }
-  if (obs_si.empty()) return false;
-  double sum = 0.0;
-  for (Index c = 0; c < k; ++c) {
-    double d2 = 0.0;
-    for (Index j : obs_si) {
-      const double diff = row[j] - model.landmarks(c, j);
-      d2 += diff * diff;
-    }
-    // Missing coordinates scale the partial distance up to the full-SI
-    // magnitude so the kernel width stays comparable.
-    d2 *= static_cast<double>(l) / static_cast<double>(obs_si.size());
-    u[c] = std::exp(-d2 / (2.0 * sigma2)) + 1e-4;
-    sum += u[c];
-  }
-  for (Index c = 0; c < k; ++c) u[c] /= sum;
-  return true;
+// Spatial width of the landmark kernel. Clamped because a loaded model's
+// landmarks may be wider than its spatial_cols (DeserializeModel accepts
+// any landmark block that fits in V).
+Index KernelCols(const SmflModel& model) {
+  return std::min(model.spatial_cols, model.landmarks.cols());
 }
 
 // Multiplicative updates of u restricted to the observed columns:
@@ -232,8 +210,8 @@ Result<la::Vector> FoldInRow(const SmflModel& model, const la::Vector& row,
 
   la::Vector u(k, 1.0 / static_cast<double>(k));
   if (model.landmarks.size() > 0) {
-    const double sigma2 = FoldInKernelWidth(model.landmarks);
-    InitFromLandmarks(model, row.data(), usable.data(), sigma2, u);
+    LandmarkKernelWeights(model.landmarks, row.data(), obs, KernelCols(model),
+                          FoldInKernelWidth(model.landmarks), u.data());
   }
   std::vector<double> recon;
   SolveCoefficients(v_obs, x_obs.Row(0).data(), num.Row(0).data(), options,
@@ -356,6 +334,7 @@ Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
   // Model-level precomputations shared by every row.
   const double sigma2 =
       model.landmarks.size() > 0 ? FoldInKernelWidth(model.landmarks) : 0.0;
+  const Index kernel_cols = KernelCols(model);
   la::Vector mean_u = model.u.rows() > 0
                           ? la::ColMeans(model.u)
                           : la::Vector(k, 1.0 / static_cast<double>(k));
@@ -386,7 +365,9 @@ Result<Matrix> FoldIn(const SmflModel& model, const Matrix& x,
       const ObsGroup& g = groups[gi];
       la::Vector u(k, 1.0 / static_cast<double>(k));
       const bool kernel_init =
-          sigma2 > 0.0 && InitFromLandmarks(model, xrow, urow, sigma2, u);
+          sigma2 > 0.0 &&
+          LandmarkKernelWeights(model.landmarks, xrow, usable_index.RowCols(i),
+                                kernel_cols, sigma2, u.data());
       outcome.served_by = kernel_init ? FoldInTier::kLandmarkKernel
                                       : FoldInTier::kUniformU;
       const Index pos = row_pos[static_cast<size_t>(i)];

@@ -7,8 +7,9 @@
 // feature matrix V over the row's observed cells — the single-row analogue
 // of the U update (Formula 13 without the Laplacian term, since a lone row
 // has no graph edges) — then reconstructs the missing cells as u·V.
-// Initialization reuses the landmark kernel when the row's coordinates are
-// observed, so fold-in inherits SMFL's geographic anchoring.
+// Initialization reuses the fit's landmark kernel (LandmarkKernelWeights,
+// landmarks.h) when the row's coordinates are observed, so fold-in
+// inherits SMFL's geographic anchoring.
 //
 // The batch entry point is built for serving throughput and fault
 // isolation:

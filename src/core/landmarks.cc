@@ -1,5 +1,8 @@
 #include "src/core/landmarks.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "src/cluster/kmeans.h"
 
 namespace smfl::core {
@@ -39,6 +42,31 @@ bool LandmarksIntact(const Matrix& v, const Matrix& landmarks) {
       if (v(i, j) != landmarks(i, j)) return false;
     }
   }
+  return true;
+}
+
+bool LandmarkKernelWeights(const Matrix& landmarks, const double* row,
+                           std::span<const Index> observed_cols, Index l,
+                           double sigma2, double* u) {
+  SMFL_DCHECK(l <= landmarks.cols());
+  const std::span<const Index> obs(
+      observed_cols.begin(),
+      std::lower_bound(observed_cols.begin(), observed_cols.end(), l));
+  if (obs.empty()) return false;
+  const double scale =
+      static_cast<double>(l) / static_cast<double>(obs.size());
+  double sum = 0.0;
+  for (Index c = 0; c < landmarks.rows(); ++c) {
+    double d2 = 0.0;
+    for (Index j : obs) {
+      const double diff = row[j] - landmarks(c, j);
+      d2 += diff * diff;
+    }
+    d2 *= scale;
+    u[c] = std::exp(-d2 / (2.0 * sigma2)) + 1e-4;
+    sum += u[c];
+  }
+  for (Index c = 0; c < landmarks.rows(); ++c) u[c] /= sum;
   return true;
 }
 

@@ -11,6 +11,7 @@
 #define SMFL_CORE_LANDMARKS_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/common/status.h"
 #include "src/la/matrix.h"
@@ -38,6 +39,18 @@ void InjectLandmarks(Matrix& v, const Matrix& landmarks);
 // True iff the first C.cols() columns of V equal C exactly (test hook for
 // the frozen-landmark invariant).
 bool LandmarksIntact(const Matrix& v, const Matrix& landmarks);
+
+// The landmark kernel (DESIGN.md §4.2), shared by the SMFL fit's U init and
+// fold-in: writes u[c] = exp(−d_c²·l/|obs|/(2σ²)) + 1e-4 for every
+// landmark c, normalized to sum 1, where d_c is the distance from `row` to
+// landmark c over obs, the entries of `observed_cols` (ascending) below
+// `l`. The l/|obs| factor scales a partial-coordinate distance up to the
+// full-SI magnitude so the width stays comparable across rows. Returns
+// false, leaving u untouched, when no coordinate below `l` is observed.
+// Requires l <= landmarks.cols(); u holds landmarks.rows() entries.
+bool LandmarkKernelWeights(const Matrix& landmarks, const double* row,
+                           std::span<const Index> observed_cols, Index l,
+                           double sigma2, double* u);
 
 }  // namespace smfl::core
 

@@ -1,9 +1,12 @@
 #include "src/core/smfl.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <span>
+#include <utility>
+#include <vector>
 
+#include "src/cluster/kmeans.h"
 #include "src/common/fault.h"
 #include "src/common/fit_progress.h"
 #include "src/common/parallel.h"
@@ -78,10 +81,6 @@ Status ValidateInputs(const Matrix& x, const Mask& observed,
   }
   return Status::OK();
 }
-
-}  // namespace
-
-namespace {
 
 // Everything a mid-fit checkpoint must record beyond the solver state
 // itself: where this attempt sits in the restart/retry nest, the
@@ -302,6 +301,130 @@ Result<SmflModel> FitSmflWithGraph(const Matrix& x, const Mask& observed,
 
 namespace {
 
+// The cluster-consistent initialization of DESIGN.md §4.2, all from
+// Rng(options.seed): U and V uniform; for SMFL, the K-means landmarks
+// frozen into V's first L columns, U rows as landmark-kernel weights over
+// each row's observed SI coordinates (uniform when none is), and each free
+// row of V at its cluster's observed column means.
+Status InitModel(const Matrix& x, const data::ObservedIndex& omega,
+                 const SmflOptions& options, SmflModel& model) {
+  const Index n = x.rows(), m = x.cols(), k = options.rank;
+  const Index l = model.spatial_cols;
+  Rng rng(options.seed);
+  model.u = Matrix(n, k);
+  model.v = Matrix(k, m);
+  for (Index i = 0; i < model.u.size(); ++i) {
+    model.u.data()[i] = rng.Uniform(0.01, 1.0);
+  }
+  for (Index i = 0; i < model.v.size(); ++i) {
+    model.v.data()[i] = rng.Uniform(0.01, 1.0);
+  }
+  if (!options.use_landmarks) return Status::OK();
+
+  // Landmarks from K-means over the column-mean-filled SI block.
+  Mask si_mask(n, l);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j : omega.RowCols(i)) {
+      if (j >= l) break;
+      si_mask.Set(i, j);
+    }
+  }
+  const Matrix si_filled =
+      data::FillWithColumnMeans(x.Block(0, 0, n, l), si_mask);
+  LandmarkOptions lm;
+  lm.kmeans_max_iterations = options.kmeans_max_iterations;
+  lm.seed = options.seed;
+  ASSIGN_OR_RETURN(model.landmarks, GenerateLandmarks(si_filled, k, lm));
+  InjectLandmarks(model.v, model.landmarks);
+
+  // Not KMeansResult::assignments: those predate K-means' last update.
+  const std::vector<Index> nearest =
+      cluster::AssignToCenters(si_filled, model.landmarks);
+  double sigma2 = 0.0;
+  for (Index i = 0; i < n; ++i) {
+    sigma2 += la::SquaredDistance(
+        si_filled.Row(i), model.landmarks.Row(nearest[static_cast<size_t>(i)]));
+  }
+  sigma2 = std::max(sigma2 / static_cast<double>(n), 1e-8);
+  for (Index i = 0; i < n; ++i) {
+    const std::span<double> u = model.u.Row(i);
+    if (!LandmarkKernelWeights(model.landmarks, si_filled.Row(i).data(),
+                               omega.RowCols(i), l, sigma2, u.data())) {
+      std::fill(u.begin(), u.end(), 1.0 / static_cast<double>(k));
+    }
+  }
+
+  // Cluster means of the free columns in one pass over Ω; each (c, j)
+  // accumulator adds its cells in ascending i.
+  Matrix sums(k, m), counts(k, m);
+  for (Index i = 0; i < n; ++i) {
+    const Index c = nearest[static_cast<size_t>(i)];
+    const std::span<const Index> cols = omega.RowCols(i);
+    const std::span<const double> values = omega.RowValues(i);
+    for (size_t t = 0; t < cols.size(); ++t) {
+      if (cols[t] < l) continue;
+      sums(c, cols[t]) += values[t];
+      counts(c, cols[t]) += 1.0;
+    }
+  }
+  for (Index c = 0; c < k; ++c) {
+    for (Index j = l; j < m; ++j) {
+      model.v(c, j) = counts(c, j) > 0.0
+                          ? std::max(sums(c, j) / counts(c, j), 1e-4)
+                          : rng.Uniform(0.01, 1.0);
+    }
+  }
+  return Status::OK();
+}
+
+// Resume: the checkpoint holds the full accepted state at
+// `resume.iteration` (factors, landmarks, trace, guard internals), so
+// nothing stochastic is re-run.
+Status RestoreModel(const FitCheckpoint& resume, const Matrix& x,
+                    const SmflOptions& options, SmflModel& model) {
+  const Index k = options.rank;
+  if (resume.u.rows() != x.rows() || resume.u.cols() != k ||
+      resume.v.rows() != k || resume.v.cols() != x.cols() ||
+      resume.spatial_cols != model.spatial_cols) {
+    return Status::InvalidArgument(
+        "resume: checkpoint factor shapes do not match this fit");
+  }
+  model.u = resume.u;
+  model.v = resume.v;
+  model.landmarks = resume.landmarks;
+  model.report.objective_trace = resume.objective_trace;
+  model.report.iterations = resume.iteration + 1;
+  return Status::OK();
+}
+
+// Durable snapshot of the full accepted state after iteration `iter`. A
+// failed write must never fail the fit: training continues with a staler
+// resume point (already counted as smfl.checkpoint.failures by the
+// manager).
+void SaveCheckpoint(const CheckpointContext& ckpt, int iter, double div_eps,
+                    const SmflModel& model, const TrainingGuard& guard) {
+  FitCheckpoint cp;
+  cp.seed = ckpt.seed;
+  cp.input_fingerprint = ckpt.input_fingerprint;
+  cp.options_fingerprint = ckpt.options_fingerprint;
+  cp.restart = ckpt.restart;
+  cp.attempt = ckpt.attempt;
+  cp.retries_used = ckpt.retries_used;
+  cp.iteration = iter;
+  cp.div_eps = div_eps;
+  cp.u = model.u;
+  cp.v = model.v;
+  cp.landmarks = model.landmarks;
+  cp.spatial_cols = model.spatial_cols;
+  cp.objective_trace = model.report.objective_trace;
+  cp.guard = guard.SaveState();
+  if (ckpt.best_model != nullptr) cp.best_model = *ckpt.best_model;
+  Status st = ckpt.manager->Save(cp);
+  if (!st.ok()) {
+    SMFL_LOG(Warning) << "checkpoint write failed: " << st.ToString();
+  }
+}
+
 Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
                                    Index spatial_cols,
                                    const NeighborGraph& graph,
@@ -312,135 +435,18 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   if (graph.num_vertices() != x.rows()) {
     return Status::InvalidArgument("FitSmfl: graph size mismatch");
   }
-  const Index n = x.rows(), m = x.cols(), k = options.rank;
-
+  // One CSR index over Ω with the observed values packed alongside: the
+  // init reads it, then the masked update engine (src/mf/masked_mu.h) owns
+  // it. The engine holds R_Ω(UV) for the current iterates, so the
+  // objective evaluation at the end of each iteration doubles as the input
+  // to the next iteration's U update, which needs exactly R_Ω(U_old V_old).
+  data::ObservedIndex omega = data::ObservedIndex::FromMask(observed, x);
   SmflModel model;
   model.spatial_cols = spatial_cols;
-  const Index v_update_begin = options.use_landmarks ? spatial_cols : 0;
-  if (resume != nullptr) {
-    // The checkpoint holds the full accepted state at `resume->iteration`
-    // — factors, landmarks, trace, guard internals. Nothing stochastic is
-    // re-run; the only recomputation below is R_Ω(UV), a pure function of
-    // the restored factors.
-    if (resume->u.rows() != n || resume->u.cols() != k ||
-        resume->v.rows() != k || resume->v.cols() != m ||
-        resume->spatial_cols != spatial_cols) {
-      return Status::InvalidArgument(
-          "resume: checkpoint factor shapes do not match this fit");
-    }
-    model.u = resume->u;
-    model.v = resume->v;
-    model.landmarks = resume->landmarks;
-  } else {
-  Rng rng(options.seed);
-  model.u = Matrix(n, k);
-  model.v = Matrix(k, m);
-  for (Index i = 0; i < model.u.size(); ++i) {
-    model.u.data()[i] = rng.Uniform(0.01, 1.0);
-  }
-  for (Index i = 0; i < model.v.size(); ++i) {
-    model.v.data()[i] = rng.Uniform(0.01, 1.0);
-  }
-
-  if (options.use_landmarks) {
-    // Landmarks from K-means over the (mean-filled) SI block.
-    Matrix si_filled;
-    {
-      Matrix si = x.Block(0, 0, n, spatial_cols);
-      Mask si_mask(n, spatial_cols);
-      for (Index i = 0; i < n; ++i) {
-        for (Index j = 0; j < spatial_cols; ++j) {
-          si_mask.Set(i, j, observed.Contains(i, j));
-        }
-      }
-      si_filled = data::FillWithColumnMeans(si, si_mask);
-    }
-    LandmarkOptions lm;
-    lm.kmeans_max_iterations = options.kmeans_max_iterations;
-    lm.seed = options.seed;
-    ASSIGN_OR_RETURN(model.landmarks, GenerateLandmarks(si_filled, k, lm));
-    InjectLandmarks(model.v, model.landmarks);
-
-    // Cluster-consistent initialization: with the first L columns of V
-    // frozen at the centers C, a random U starts far from satisfying
-    // U C ≈ SI and the multiplicative updates settle in poor local optima.
-    // Instead, U rows start as Gaussian-kernel weights over the landmark
-    // distances (≈ soft cluster memberships, so U C ≈ SI immediately) and
-    // each free feature row of V starts at its cluster's observed column
-    // means (the "features of each cluster" reading of §III-A).
-    // Rows whose SI is not fully observed have no trustworthy location;
-    // they get uniform weights instead of a kernel anchored at the
-    // mean-filled (map-center) coordinates.
-    double sigma2 = 0.0;
-    std::vector<Index> nearest(static_cast<size_t>(n), 0);
-    for (Index i = 0; i < n; ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      for (Index c = 0; c < k; ++c) {
-        const double d2 = la::SquaredDistance(si_filled.Row(i),
-                                              model.landmarks.Row(c));
-        if (d2 < best) {
-          best = d2;
-          nearest[static_cast<size_t>(i)] = c;
-        }
-      }
-      sigma2 += best;
-    }
-    sigma2 = std::max(sigma2 / static_cast<double>(n), 1e-8);
-    for (Index i = 0; i < n; ++i) {
-      // Kernel over the observed SI coordinates only; a fully unobserved
-      // location degrades to uniform weights.
-      std::vector<Index> obs_cols;
-      for (Index j = 0; j < spatial_cols; ++j) {
-        if (observed.Contains(i, j)) obs_cols.push_back(j);
-      }
-      if (obs_cols.empty()) {
-        for (Index c = 0; c < k; ++c) {
-          model.u(i, c) = 1.0 / static_cast<double>(k);
-        }
-        continue;
-      }
-      double sum = 0.0;
-      for (Index c = 0; c < k; ++c) {
-        double d2 = 0.0;
-        for (Index j : obs_cols) {
-          const double diff = si_filled(i, j) - model.landmarks(c, j);
-          d2 += diff * diff;
-        }
-        // Rescale the partial distance to the full dimensionality so the
-        // kernel width stays comparable across rows.
-        d2 *= static_cast<double>(spatial_cols) /
-              static_cast<double>(obs_cols.size());
-        const double w = std::exp(-d2 / (2.0 * sigma2)) + 1e-4;
-        model.u(i, c) = w;
-        sum += w;
-      }
-      for (Index c = 0; c < k; ++c) model.u(i, c) /= sum;
-    }
-    for (Index c = 0; c < k; ++c) {
-      for (Index j = spatial_cols; j < m; ++j) {
-        double sum = 0.0;
-        Index count = 0;
-        for (Index i = 0; i < n; ++i) {
-          if (nearest[static_cast<size_t>(i)] != c) continue;
-          if (!observed.Contains(i, j)) continue;
-          sum += x(i, j);
-          ++count;
-        }
-        model.v(c, j) = count > 0
-                            ? std::max(sum / static_cast<double>(count), 1e-4)
-                            : rng.Uniform(0.01, 1.0);
-      }
-    }
-  }
-  }  // resume == nullptr initialization
-
-  // The masked update engine over Ω (src/mf/masked_mu.h), built once per
-  // attempt from the CSR index with the observed values packed alongside.
-  // It holds R_Ω(UV) for the current iterates: the objective evaluation at
-  // the end of each iteration doubles as the input to the next
-  // iteration's U update, which needs exactly R_Ω(U_old V_old).
-  mf::MaskedMuEngine engine(data::ObservedIndex::FromMask(observed, x),
-                            v_update_begin);
+  RETURN_NOT_OK(resume != nullptr ? RestoreModel(*resume, x, options, model)
+                                  : InitModel(x, omega, options, model));
+  mf::MaskedMuEngine engine(std::move(omega),
+                            options.use_landmarks ? spatial_cols : 0);
   const mf::GraphTerm graph_term{&graph, options.lambda};
   // Formula 10 from the packed reconstruction. The λ·LQF product is kept
   // even at λ == 0 so a non-finite U still poisons the objective.
@@ -450,12 +456,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   };
   FitReport& report = model.report;
   engine.Reconstruct(model.u, model.v);
-  if (resume == nullptr) {
-    report.objective_trace.push_back(objective_now());
-  } else {
-    report.objective_trace = resume->objective_trace;
-    report.iterations = resume->iteration + 1;
-  }
+  if (resume == nullptr) report.objective_trace.push_back(objective_now());
 
   // The guard checkpoints (U, V, objective) and rolls back on NaN/Inf or —
   // for the multiplicative rules, whose monotonicity is the paper's
@@ -463,11 +464,8 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
   TrainingGuard guard(options.guard,
                       options.update == UpdateMethod::kMultiplicative,
                       options.seed, kDivEps);
-  double div_eps = kDivEps;
-  if (resume != nullptr) {
-    guard.RestoreState(resume->guard);
-    div_eps = resume->div_eps;
-  }
+  double div_eps = resume != nullptr ? resume->div_eps : kDivEps;
+  if (resume != nullptr) guard.RestoreState(resume->guard);
 
   const int start_iter = resume != nullptr ? resume->iteration + 1 : 0;
 
@@ -484,34 +482,6 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
       GlobalFitProgress().fit_active.store(false, std::memory_order_relaxed);
     }
   } fit_active_reset;
-
-  // Durable snapshot of the full accepted state after iteration `iter`.
-  // Shared by the periodic ShouldCheckpoint path and the signal-shutdown
-  // flush below. A failed write must never fail the fit — training
-  // continues with a staler resume point (already counted as
-  // smfl.checkpoint.failures by the manager).
-  const auto save_checkpoint = [&](int iter) {
-    FitCheckpoint cp;
-    cp.seed = ckpt->seed;
-    cp.input_fingerprint = ckpt->input_fingerprint;
-    cp.options_fingerprint = ckpt->options_fingerprint;
-    cp.restart = ckpt->restart;
-    cp.attempt = ckpt->attempt;
-    cp.retries_used = ckpt->retries_used;
-    cp.iteration = iter;
-    cp.div_eps = div_eps;
-    cp.u = model.u;
-    cp.v = model.v;
-    cp.landmarks = model.landmarks;
-    cp.spatial_cols = spatial_cols;
-    cp.objective_trace = report.objective_trace;
-    cp.guard = guard.SaveState();
-    if (ckpt->best_model != nullptr) cp.best_model = *ckpt->best_model;
-    Status st = ckpt->manager->Save(cp);
-    if (!st.ok()) {
-      SMFL_LOG(Warning) << "checkpoint write failed: " << st.ToString();
-    }
-  };
 
   for (int iter = start_iter; iter < options.max_iterations; ++iter) {
     SMFL_TRACE_SPAN("smfl.fit.iter");
@@ -609,7 +579,7 @@ Result<SmflModel> FitOnceWithGraph(const Matrix& x, const Mask& observed,
     const bool interrupted = ShutdownRequested();
     if (ckpt != nullptr && ckpt->manager != nullptr &&
         (interrupted || ckpt->manager->ShouldCheckpoint(iter))) {
-      save_checkpoint(iter);
+      SaveCheckpoint(*ckpt, iter, div_eps, model, guard);
     }
     if (interrupted) {
       report.rollbacks = guard.rollbacks();

@@ -7,7 +7,6 @@
 
 #include "src/common/fault.h"
 #include "src/data/csv.h"
-#include "src/data/mask.h"
 
 namespace smfl {
 namespace {

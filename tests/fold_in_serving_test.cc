@@ -26,7 +26,6 @@
 #include "src/data/csv.h"
 #include "src/data/generators.h"
 #include "src/data/normalize.h"
-#include "src/exp/metrics.h"
 #include "src/la/ops.h"
 
 namespace smfl::core {
@@ -206,6 +205,70 @@ TEST(FoldInServingTest, KernelWidthGuardedForDegenerateLandmarks) {
   EXPECT_EQ(report.rows[0].served_by, FoldInTier::kLandmarkKernel);
   for (Index j = 0; j < 5; ++j) {
     EXPECT_TRUE(std::isfinite((*folded)(0, j)));
+  }
+}
+
+// ------------------------------------------------- kernel spatial clamp
+
+// DeserializeModel accepts a landmark block wider than spatial_cols (any
+// block that fits in V). Fold-in must then run the landmark kernel over
+// the first spatial_cols coordinates only: they alone pick the tier and
+// shape the initial coefficients.
+TEST(FoldInServingTest, WideLandmarksUseOnlySpatialCoordinates) {
+  Fitted f = TrainOnPrefix(200, 170, 9);
+  f.model.spatial_cols = 1;  // the landmarks stay K x 2
+  auto loaded = DeserializeModel(SerializeModel(f.model));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const SmflModel& model = *loaded;
+  ASSERT_GT(model.landmarks.cols(), model.spatial_cols);
+
+  const Index fresh = 12;
+  Matrix x;
+  Mask observed;
+  MakeFreshBatch(f, fresh, &x, &observed);
+  // Rows 0-3 observe the second landmark coordinate but not the first.
+  for (Index i = 0; i < 4; ++i) observed.Set(i, 0, false);
+
+  // No multiplicative steps: each served row is its kernel init times V.
+  FoldInOptions options;
+  options.max_iterations = 0;
+  FoldInReport report;
+  auto folded = FoldIn(model, x, observed, options, &report);
+  ASSERT_TRUE(folded.ok());
+
+  const Index k = model.v.rows();
+  const double sigma2 = FoldInKernelWidth(model.landmarks);
+  std::vector<bool> observed_row(static_cast<size_t>(x.cols()));
+  for (Index i = 0; i < fresh; ++i) {
+    const bool kernel = observed.Contains(i, 0);
+    EXPECT_EQ(report.rows[static_cast<size_t>(i)].served_by,
+              kernel ? FoldInTier::kLandmarkKernel : FoldInTier::kUniformU)
+        << "row " << i;
+    la::Vector u(k, 1.0 / static_cast<double>(k));
+    if (kernel) {
+      double sum = 0.0;
+      for (Index c = 0; c < k; ++c) {
+        const double d = x(i, 0) - model.landmarks(c, 0);
+        u[c] = std::exp(-d * d / (2.0 * sigma2)) + 1e-4;
+        sum += u[c];
+      }
+      for (Index c = 0; c < k; ++c) u[c] /= sum;
+    }
+    la::Vector row(x.cols());
+    for (Index j = 0; j < x.cols(); ++j) {
+      row[j] = x(i, j);
+      observed_row[static_cast<size_t>(j)] = observed.Contains(i, j);
+    }
+    auto completed = FoldInRow(model, row, observed_row, options);
+    ASSERT_TRUE(completed.ok());
+    for (Index j = 0; j < x.cols(); ++j) {
+      EXPECT_EQ((*folded)(i, j), (*completed)[j]) << "row " << i << " col " << j;
+      if (observed.Contains(i, j)) continue;
+      double expected = 0.0;
+      for (Index c = 0; c < k; ++c) expected += u[c] * model.v(c, j);
+      EXPECT_NEAR((*folded)(i, j), expected, 1e-12)
+          << "row " << i << " col " << j;
+    }
   }
 }
 

@@ -4,10 +4,8 @@
 
 #include "src/core/fold_in.h"
 #include "src/data/generators.h"
-#include "src/data/inject.h"
 #include "src/data/normalize.h"
 #include "src/exp/metrics.h"
-#include "src/la/ops.h"
 
 namespace smfl::core {
 namespace {

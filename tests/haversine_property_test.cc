@@ -7,7 +7,6 @@
 
 #include "src/common/rng.h"
 #include "src/data/csv.h"
-#include "src/data/inject.h"
 #include "src/data/normalize.h"
 #include "src/la/ops.h"
 #include "src/spatial/graph.h"

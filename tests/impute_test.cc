@@ -7,7 +7,6 @@
 #include "src/data/normalize.h"
 #include "src/exp/metrics.h"
 #include "src/la/ops.h"
-#include "src/impute/gan.h"
 #include "src/impute/mf_imputers.h"
 #include "src/impute/neighbor_util.h"
 #include "src/impute/registry.h"

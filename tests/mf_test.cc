@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/common/rng.h"
-#include "src/data/inject.h"
 #include "src/la/ops.h"
 #include "src/mf/nmf.h"
 #include "src/mf/pca.h"

@@ -8,7 +8,6 @@
 #include "src/exp/metrics.h"
 #include "src/la/ops.h"
 #include "src/repair/baseline_repairers.h"
-#include "src/repair/mf_repairers.h"
 #include "src/repair/repairer.h"
 
 namespace smfl::repair {

@@ -9,6 +9,8 @@
 #                     fails here rather than in the benchmark run
 #   3. tier1-tests    the full ctest suite in that build tree
 #   4. smfl-lint      repo-contract static analysis (docs/static-analysis.md)
+#                     over src/, tests/, bench/ and examples/ (not tools/:
+#                     the linter's own sources quote its rule syntax)
 #   5. lint-graph     the semantic passes: module-layering / include-graph
 #                     enforcement (--graph) and the R13 ParallelFor race
 #                     detector (--race), with SARIF written to the check
@@ -213,11 +215,11 @@ if [[ "${step_statuses[0]}" == pass ]]; then
     ctest --test-dir "$build_dir" --output-on-failure -j
   run_step smfl-lint "repo contracts clean (see $log_dir/smfl-lint.json)" \
     "$build_dir/tools/smfl_lint" --repo-root "$repo_root" \
-    --json "$log_dir/smfl-lint.json" src
+    --json "$log_dir/smfl-lint.json" src tests bench examples
   run_step lint-graph "module DAG + R13 race pass clean (SARIF: $log_dir/smfl-lint.sarif)" \
     "$build_dir/tools/smfl_lint" --repo-root "$repo_root" --graph --race \
     --sarif "$log_dir/smfl-lint.sarif" \
-    --json "$log_dir/smfl-lint-graph.json" src
+    --json "$log_dir/smfl-lint-graph.json" src tests bench examples
   # Already part of tier1-tests, but durability regressions deserve their
   # own line in CHECKS.json: this is the harness that SIGKILLs real fits
   # and proves --resume is bitwise-identical.

@@ -7,7 +7,8 @@
 #   thread     the threading-sensitive subset (parallel_test, simd_kernel_test,
 #              kernel_equivalence_test, smfl_monotonicity_property_test,
 #              fold_in_serving_test, telemetry_test, crash_recovery_test,
-#              observed_index_test, masked_mu_oracle_test, obs_endpoint_test)
+#              observed_index_test, masked_mu_oracle_test,
+#              smfl_init_oracle_test, obs_endpoint_test)
 #              under ThreadSanitizer, with SMFL_THREADS=4 so the pool is
 #              actually exercised even on a single-core machine;
 #              obs_endpoint_test races the HTTP exporter thread against a
@@ -68,7 +69,7 @@ for san in "${sanitizers[@]}"; do
     thread)
       SMFL_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
           ctest --test-dir "$build_dir" --output-on-failure \
-          -R '^(parallel_test|simd_kernel_test|kernel_equivalence_test|smfl_monotonicity_property_test|fold_in_serving_test|telemetry_test|crash_recovery_test|observed_index_test|masked_mu_oracle_test|obs_endpoint_test)$'
+          -R '^(parallel_test|simd_kernel_test|kernel_equivalence_test|smfl_monotonicity_property_test|fold_in_serving_test|telemetry_test|crash_recovery_test|observed_index_test|masked_mu_oracle_test|smfl_init_oracle_test|obs_endpoint_test)$'
       ;;
   esac
   echo "==> $san: PASSED"
